@@ -32,7 +32,6 @@
 #include "imputers/autocorrelation.h"
 #include "imputers/traditional.h"
 #include "positioning/estimators.h"
-#include "serving/batch_localizer.h"
 #include "serving/map_updater.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
@@ -135,7 +134,7 @@ int main(int argc, char** argv) {
                   block.data().begin() + r * set.queries.cols());
       }
       for (const geom::Point& p :
-           serving::BatchLocalizer::LocalizeBatchOn(*snap, block)) {
+           serving::LocalizeBatchOn(*snap, block)) {
         sink = sink + p;
       }
     }

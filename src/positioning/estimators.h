@@ -24,17 +24,6 @@
 
 namespace rmi::positioning {
 
-/// Which kernel ranks candidates inside KnnEstimator::EstimateBatch. All
-/// three return bit-identical estimates (every path ends in the same exact
-/// rescore over a candidate superset); they trade ranking throughput:
-///  * kGemm   — the reproducible blocked double kernel (reference path);
-///  * kFastNN — relaxed-rounding double kernel, AVX2/AVX-512 dispatch;
-///  * kQuant  — int8 fingerprints, int32 accumulation, analytic
-///              quantization bound widening the rescore band (default:
-///              the fastest — the reference matrix shrinks 8x and ranking
-///              arithmetic is exact integer).
-enum class RankingKernel { kGemm, kFastNN, kQuant };
-
 /// Extracts the labeled (has_rp) rows of an imputed map, in map order:
 /// fingerprints as an R x D matrix plus index-aligned RP labels. Every row
 /// must be complete (asserted). The single extraction rule shared by
@@ -105,7 +94,7 @@ class LocationEstimator {
 
   /// Estimates every row of `fingerprints` (B x D) in one call — the
   /// serving hot path. The base implementation is the scalar loop over
-  /// Estimate; KnnEstimator overrides it with a single-Gemm distance pass.
+  /// Estimate; KnnEstimator overrides it with the int8 ranking pass.
   /// Must be thread-safe on a fitted estimator (const, no shared scratch).
   virtual std::vector<geom::Point> EstimateBatch(
       const la::Matrix& fingerprints) const;
@@ -134,16 +123,12 @@ class KnnEstimator : public LocationEstimator {
   /// scan has no distance signal and would silently decay to the first k
   /// reference rows.
   geom::Point Estimate(const std::vector<double>& fingerprint) const override;
-  /// Batched KNN: all query-to-reference distances in one Gemm via
-  /// ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f (a masked variant covers
-  /// partial fingerprints: the cross term zeroes nulls, the reference-norm
-  /// term becomes mask x (F o F)^T — a second Gemm). The Gemm pass only
-  /// *ranks*; the top candidates — plus every reference within an error
-  /// margin above the selection boundary, so Gemm rounding (or, on the
-  /// kQuant kernel, the analytic quantization bound) can never evict a
-  /// true neighbor — are re-scored with the exact scalar distance, and
-  /// results match per-record Estimate bit-for-bit on every
-  /// RankingKernel.
+  /// Batched KNN through KnnQuantEstimateBatch: int8 ranking of every
+  /// query against every reference (integer cross Gemm, plus a masked-norm
+  /// Gemm for partial fingerprints), then the top candidates — plus every
+  /// reference the analytic quantization bound cannot rule out — are
+  /// re-scored with the exact scalar distance, so results match per-record
+  /// Estimate bit-for-bit.
   std::vector<geom::Point> EstimateBatch(
       const la::Matrix& fingerprints) const override;
   /// Distances over observed dimensions only — partial scans are native.
@@ -155,11 +140,6 @@ class KnnEstimator : public LocationEstimator {
 
   size_t k() const { return k_; }
   bool weighted() const { return weighted_; }
-  /// Ranking-kernel selection for EstimateBatch (answers are bit-identical
-  /// across kernels; see RankingKernel). May be changed between batches on
-  /// a fitted estimator, but not concurrently with queries.
-  void set_ranking_kernel(RankingKernel kernel) { kernel_ = kernel; }
-  RankingKernel ranking_kernel() const { return kernel_; }
   /// The int8 ranking copy built by Fit — the serving snapshot exposes it
   /// as the quantized fingerprint view.
   const la::QuantizedRefs& quantized() const { return quant_; }
@@ -176,27 +156,12 @@ class KnnEstimator : public LocationEstimator {
       std::vector<std::pair<double, size_t>> candidates) const;
 
  private:
-  /// The int8 ranking path: integer cross Gemm (+ masked-norm Gemm for
-  /// partial rows), integer keys, branchless top-c, then the candidate
-  /// band widened by the analytic quantization bound and re-scored
-  /// exactly — see EstimateBatch's contract.
-  std::vector<geom::Point> EstimateBatchQuant(
-      const la::Matrix& fingerprints) const;
-
   size_t k_;
   bool weighted_;
-  RankingKernel kernel_ = RankingKernel::kQuant;
   std::vector<geom::Point> labels_;
-  /// Fitted reference state. The transposed copies let the batched path
-  /// run its two Gemms through the no-transpose kernel (cache-blocked and
-  /// auto-vectorizable — the A*B^T row-dot variant is a serial reduction);
-  /// accumulation order is identical, so keys don't change.
-  la::Matrix features_mat_;    ///< R x D
-  la::Matrix features_t_;      ///< D x R
-  la::Matrix features_sq_t_;   ///< D x R, elementwise squared
-  la::Matrix feature_norms_;   ///< R x 1 row norms
-  /// Int8 ranking copy (per-AP scale/zero-point, SoA, padded) for the
-  /// kQuant kernel; the float members above stay the rescore master.
+  la::Matrix features_mat_;  ///< R x D, the exact-rescore master
+  /// Int8 ranking copy (per-AP scale/zero-point, SoA, padded) of
+  /// features_mat_.
   la::QuantizedRefs quant_;
 };
 

@@ -116,8 +116,7 @@ std::string MapUpdater::ShardDir(const rmap::ShardId& id) const {
       .string();
 }
 
-void MapUpdater::OpenShardWal(const rmap::ShardId& id, ShardState* state,
-                              uint64_t watermark) {
+void MapUpdater::OpenShardWal(ShardState* state, uint64_t watermark) {
   store::Wal::Options wal_options;
   wal_options.sync_every = options_.wal_sync_every;
   store::Wal::ReplayResult replay;
@@ -162,8 +161,7 @@ bool MapUpdater::TryRestoreShard(const rmap::ShardId& id, ShardState* state) {
     num_aps = state->base.num_aps();
   }
   if (!LoadNewestSnapshot(state->shard_dir, id, num_aps, estimator_factory_,
-                          restore_rng, options_.snapshot_cell_size_m,
-                          positioning::RankingKernel::kQuant, &loaded,
+                          restore_rng, options_.snapshot_cell_size_m, &loaded,
                           &error)) {
     return false;
   }
@@ -192,7 +190,7 @@ bool MapUpdater::TryRestoreShard(const rmap::ShardId& id, ShardState* state) {
   }
   // Replays only segments at or above the snapshot's watermark — the ones
   // below are inside the base section just adopted.
-  OpenShardWal(id, state, loaded.wal_watermark);
+  OpenShardWal(state, loaded.wal_watermark);
   store_->Publish(id, loaded.snapshot);
   UpdaterMetrics::Get().restores.Add();
   {
@@ -269,7 +267,7 @@ void MapUpdater::RegisterShard(const rmap::ShardId& id, rmap::RadioMap base) {
       std::error_code ec;
       std::filesystem::remove_all(state->shard_dir, ec);
     }
-    OpenShardWal(id, state, 0);
+    OpenShardWal(state, 0);
   }
   Rebuild(id, state);  // first impute + fit + publish, synchronous
 }
@@ -386,7 +384,7 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
   try {
     Timer impute_timer;
     rmap::MaskMatrix mask =
-        options_.delta_aware_differentiation && previous_mask != nullptr
+        previous_mask != nullptr
             ? differentiator_->DifferentiateDelta(working, *previous_mask,
                                                   pre_delta_rows, rebuild_rng)
             : differentiator_->Differentiate(working, rebuild_rng);
@@ -430,12 +428,9 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
     // imputation path (dirty_rows then describes the imputed map) and the
     // previous snapshot survived. Each warm stage re-verifies its own
     // preconditions inside BuildSnapshot and degrades to cold.
-    if (warm && previous_snapshot != nullptr &&
-        (options_.estimator_warm_start || options_.incremental_index)) {
+    if (warm && previous_snapshot != nullptr) {
       snapshot_options.warm_previous = previous_snapshot.get();
       snapshot_options.changed_rows = &dirty_rows;
-      snapshot_options.warm_estimator = options_.estimator_warm_start;
-      snapshot_options.warm_index = options_.incremental_index;
     }
     std::shared_ptr<const MapSnapshot> snapshot = BuildSnapshot(
         imputed, estimator_factory_(), rebuild_rng, snapshot_options);

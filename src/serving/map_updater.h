@@ -83,26 +83,24 @@ struct MapUpdaterOptions {
   size_t rebuild_threads = 4;
   /// Incremental re-fit: offer each rebuild the previous imputation plus
   /// the imputer's warm-start state (dirty-row propagation / fine-tune —
-  /// see Imputer::ImputeIncremental). false = every rebuild is cold.
+  /// see Imputer::ImputeIncremental). It also turns on the warm stages
+  /// downstream of imputation, each of which checks its own preconditions
+  /// and falls back to its cold path:
+  ///  * delta-aware differentiation — rows the previous rebuild labeled
+  ///    reuse their mask verbatim (the survey base is append-only) and only
+  ///    delta rows are differentiated; exact for row-local differentiators,
+  ///    an O(|delta|) approximation for clustering ones (see
+  ///    Differentiator::DifferentiateDelta);
+  ///  * warm estimator re-fit — LocationEstimator::FitWarm with the dirty
+  ///    rows (RF: rotating-tree refresh; others: cold);
+  ///  * incremental spatial index — only grid cells touching a dirty row
+  ///    are re-summarized, bit-identical to a cold build
+  ///    (SpatialIndex::BuildIncremental).
+  /// false = every rebuild is cold.
   bool incremental = true;
   /// Dirty-row propagation knobs forwarded to ImputeIncremental.
   size_t dirty_neighbors = 8;
   double max_dirty_fraction = 0.6;
-  /// Delta-aware differentiation (requires `incremental`): rows the
-  /// previous rebuild already labeled reuse their previous mask verbatim
-  /// (the survey base is append-only, so their observations are unchanged)
-  /// and only the delta rows are differentiated. Exact for row-local
-  /// differentiators (MAR-only / MNAR-only), an O(|delta|) approximation
-  /// for clustering ones — see Differentiator::DifferentiateDelta.
-  bool delta_aware_differentiation = true;
-  /// Warm estimator re-fit (requires `incremental`): rebuilds pass the
-  /// previous snapshot's fitted estimator plus the dirty-row set to
-  /// LocationEstimator::FitWarm (RF: rotating-tree refresh; others: cold).
-  bool estimator_warm_start = true;
-  /// Incremental spatial-index rebuild (requires `incremental`): only the
-  /// grid cells touching a dirty row are re-summarized; bit-identical to a
-  /// cold build (SpatialIndex::BuildIncremental) or falls back to one.
-  bool incremental_index = true;
   /// Persistence root. Empty (the default) = memory-only, the
   /// pre-persistence behavior bit-for-bit. Non-empty: shard (b, f) keeps
   /// its durable state under <persist_dir>/b<b>_f<f>/ — every publish
@@ -290,8 +288,7 @@ class MapUpdater {
   /// replayed records as pending deltas. A failed open leaves wal null
   /// (persistence degrades, serving continues). Caller must hold exclusive
   /// access to the shard (registration, or rebuild_mu).
-  void OpenShardWal(const rmap::ShardId& id, ShardState* state,
-                    uint64_t watermark);
+  void OpenShardWal(ShardState* state, uint64_t watermark);
   /// The restore-on-register path: maps the newest valid snapshot, replays
   /// the WAL, publishes. False = nothing restored (caller rebuilds cold).
   bool TryRestoreShard(const rmap::ShardId& id, ShardState* state);

@@ -290,7 +290,7 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
           obs::Trace* t = (*batch)[valid[v]].trace.get();
           if (t != nullptr) span_starts[v] = t->ElapsedUs();
         }
-        estimates = BatchLocalizer::LocalizeBatchOn(*snap, queries);
+        estimates = LocalizeBatchOn(*snap, queries);
         for (size_t v = 0; v < valid.size(); ++v) {
           obs::Trace* t = (*batch)[valid[v]].trace.get();
           if (t != nullptr) {
@@ -299,7 +299,7 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
           }
         }
       } else {
-        estimates = BatchLocalizer::LocalizeBatchOn(*snap, queries);
+        estimates = LocalizeBatchOn(*snap, queries);
       }
     }
   }

@@ -38,7 +38,6 @@
 #include "geometry/geometry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serving/batch_localizer.h"
 #include "serving/snapshot.h"
 
 namespace rmi::serving {

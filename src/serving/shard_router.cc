@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/missing.h"
-#include "serving/batch_localizer.h"
 
 namespace rmi::serving {
 
@@ -231,7 +230,7 @@ geom::Point ShardRouter::Localize(const rmap::ShardId& shard,
                              " has no published snapshot");
   }
   ValidateQuery(*snap, fingerprint.data(), fingerprint.size());
-  return BatchLocalizer::LocalizeOn(*snap, fingerprint);
+  return LocalizeOn(*snap, fingerprint);
 }
 
 ShardRouter::AutoResult ShardRouter::LocalizeAuto(
@@ -339,7 +338,7 @@ ShardRouter::BatchResult ShardRouter::LocalizeBatch(
     pool_.ParallelForDynamic(groups.size(), [&](size_t /*worker*/, size_t gi) {
       Group& g = groups[gi];
       const std::vector<geom::Point> points =
-          BatchLocalizer::LocalizeBatchOn(*g.snapshot, g.block);
+          LocalizeBatchOn(*g.snapshot, g.block);
       for (size_t r = 0; r < g.rows.size(); ++r) {
         out.positions[g.rows[r]] = points[r];
       }

@@ -52,13 +52,9 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
   auto snapshot = std::make_shared<MapSnapshot>();
   snapshot->version = options.version;
 
-  if (auto* knn =
-          dynamic_cast<positioning::KnnEstimator*>(estimator.get())) {
-    knn->set_ranking_kernel(options.ranking_kernel);
-  }
   const bool warm = options.warm_previous != nullptr &&
                     options.changed_rows != nullptr;
-  if (warm && options.warm_estimator) {
+  if (warm) {
     estimator->FitWarm(imputed_map, rng, options.warm_previous->estimator.get(),
                        *options.changed_rows);
   } else {
@@ -85,7 +81,7 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
   // case-deleting imputer fails this) and every surviving RP at the same
   // position. BuildIncremental itself re-checks grid geometry and falls
   // back cold on any mismatch.
-  bool warm_index = warm && options.warm_index &&
+  bool warm_index = warm &&
                     snapshot->fingerprints().rows() == imputed_map.size() &&
                     options.warm_previous->num_refs() <=
                         snapshot->positions.size();
@@ -106,6 +102,43 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
   }
   snapshot->checksum = snapshot->ComputeChecksum();
   return snapshot;
+}
+
+const char* QueryValidationError(const MapSnapshot& snapshot,
+                                 const double* fingerprint, size_t size) {
+  if (size != snapshot.num_aps()) {
+    return "fingerprint width does not match the snapshot";
+  }
+  size_t observed = 0;
+  for (size_t j = 0; j < size; ++j) observed += !IsNull(fingerprint[j]);
+  if (observed == 0) return "fingerprint observes no AP";
+  if (!snapshot.estimator->SupportsPartialFingerprints() && observed < size) {
+    return "snapshot estimator does not support partial fingerprints";
+  }
+  return nullptr;
+}
+
+geom::Point LocalizeOn(const MapSnapshot& snapshot,
+                       const std::vector<double>& fingerprint) {
+  // Same contract as Estimate/EstimateBatch: an all-null scan has no
+  // distance signal (every masked distance is 0) and must not silently
+  // decay to the first k reference rows; and a partial scan is only legal
+  // for estimators that opt in (NaN mis-compares in tree traversal).
+  RMI_CHECK(QueryValidationError(snapshot, fingerprint.data(),
+                                 fingerprint.size()) == nullptr);
+  if (const auto* knn = dynamic_cast<const positioning::KnnEstimator*>(
+          snapshot.estimator.get())) {
+    std::vector<Neighbor> candidates =
+        snapshot.index.Search(snapshot.fingerprints(), fingerprint, knn->k());
+    return knn->EstimateFromCandidates(std::move(candidates));
+  }
+  return snapshot.estimator->Estimate(fingerprint);
+}
+
+std::vector<geom::Point> LocalizeBatchOn(const MapSnapshot& snapshot,
+                                         const la::Matrix& fingerprints) {
+  RMI_CHECK_EQ(fingerprints.cols(), snapshot.num_aps());
+  return snapshot.estimator->EstimateBatch(fingerprints);
 }
 
 void MapSnapshotStore::Publish(std::shared_ptr<const MapSnapshot> snapshot) {

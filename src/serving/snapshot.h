@@ -18,8 +18,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/rng.h"
+#include "geometry/geometry.h"
+#include "la/matrix.h"
 #include "positioning/estimators.h"
 #include "radiomap/radio_map.h"
 #include "serving/epoch.h"
@@ -46,7 +49,7 @@ struct MapSnapshot {
   /// (per-AP scale/zero-point), or nullptr for estimators without one.
   /// Like fingerprint_view it *aliases* the fitted KNN estimator's state —
   /// the float matrix above stays the exact-rescore master, this is the
-  /// 8x-smaller copy the kQuant ranking kernel streams.
+  /// 8x-smaller copy the int8 ranking kernel streams.
   const la::QuantizedRefs* quantized = nullptr;
   std::vector<geom::Point> positions;
   /// Location-grid pruning index over (fingerprints, positions).
@@ -75,11 +78,7 @@ struct SnapshotOptions {
   uint64_t version = 0;
   /// Spatial-index grid pitch, meters.
   double cell_size_m = 6.0;
-  /// Ranking kernel for the KNN family's EstimateBatch (ignored by other
-  /// estimators). Answers are bit-identical across kernels; this is a
-  /// throughput knob, and the benches sweep it.
-  positioning::RankingKernel ranking_kernel = positioning::RankingKernel::kQuant;
-  /// Warm-rebuild inputs (the live-update loop sets all three; a cold build
+  /// Warm-rebuild inputs (the live-update loop sets both; a cold build
   /// leaves them null). `warm_previous` is the snapshot being replaced,
   /// `changed_rows` the ascending imputed-map rows whose values differ from
   /// the map it was built on (appended rows included). Both must outlive
@@ -87,10 +86,6 @@ struct SnapshotOptions {
   /// independently falls back to its cold path when reuse is unsound.
   const MapSnapshot* warm_previous = nullptr;
   const std::vector<size_t>* changed_rows = nullptr;
-  /// Per-stage kill switches for the warm path (meaningful only when the
-  /// two pointers above are set).
-  bool warm_estimator = true;
-  bool warm_index = true;
 };
 
 /// Freezes `imputed_map` (complete, labeled rows) + a *not yet fitted*
@@ -106,6 +101,37 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
     const rmap::RadioMap& imputed_map,
     std::unique_ptr<positioning::LocationEstimator> estimator, Rng& rng,
     const SnapshotOptions& options = {});
+
+/// nullptr when `fingerprint` (length `size`) is a well-formed query for
+/// `snapshot`; otherwise a static reason string — wrong width, all-null
+/// (no distance signal), or a partial scan against an estimator without
+/// partial-fingerprint support. The single per-request validation rule:
+/// the server rejects through the request's promise, the shard router
+/// throws, both with this reason — a malformed query must never abort
+/// the serving process.
+const char* QueryValidationError(const MapSnapshot& snapshot,
+                                 const double* fingerprint, size_t size);
+
+/// Query execution against one pinned snapshot, both paths exact. Callers
+/// pin once per request (or per coalesced batch) and pass the pinned
+/// snapshot, so a concurrent hot-swap cannot mix two serving states inside
+/// one query. Null-fingerprint semantics follow the estimator contract:
+/// kNull entries are legal iff the snapshot's estimator supports partial
+/// fingerprints, and all-null scans are rejected (asserted — callers
+/// screen with QueryValidationError first).
+///
+/// The latency path for a single query: for the KNN family the spatial
+/// index prunes reference rows via its triangle-inequality bound before
+/// the exact pass; other estimators fall back to Estimate.
+geom::Point LocalizeOn(const MapSnapshot& snapshot,
+                       const std::vector<double>& fingerprint);
+
+/// The throughput path: all rows of a B x D batch go through the
+/// estimator's EstimateBatch — for the KNN family one int8 ranking pass
+/// over the whole reference set, then an exact rescore of the top
+/// candidates. Returns B locations.
+std::vector<geom::Point> LocalizeBatchOn(const MapSnapshot& snapshot,
+                                         const la::Matrix& fingerprints);
 
 /// A snapshot reference held open by an epoch pin instead of a refcount:
 /// while this object lives, the snapshot cannot be reclaimed, at zero

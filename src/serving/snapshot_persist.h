@@ -64,7 +64,6 @@ bool LoadNewestSnapshot(const std::string& dir,
                             positioning::LocationEstimator>()>&
                             estimator_factory,
                         Rng& rng, double cell_size_m,
-                        positioning::RankingKernel ranking_kernel,
                         LoadedSnapshot* out, std::string* error);
 
 /// Deletes all but the newest `keep` snapshot files under `dir` (keep >= 1

@@ -1,5 +1,5 @@
 // The serving subsystem:
-//  * EstimateBatch (Gemm-batched KNN/WKNN, scalar-loop RF) equals
+//  * EstimateBatch (int8-ranked KNN/WKNN, scalar-loop RF) equals
 //    per-record Estimate, for complete and partial (kNull) fingerprints;
 //  * KnnEstimator::Estimate tolerates kNull entries and stays bit-identical
 //    to the historical all-dimensions loop on complete fingerprints;
@@ -19,7 +19,6 @@
 #include "common/missing.h"
 #include "common/rng.h"
 #include "positioning/estimators.h"
-#include "serving/batch_localizer.h"
 #include "serving/server.h"
 #include "serving/snapshot.h"
 #include "serving/spatial_index.h"
@@ -285,7 +284,6 @@ TEST(SnapshotStoreTest, HotSwapUnderConcurrentReadersIsNeverTornOrEmpty) {
                       rng, opt));
   }
   MapSnapshotStore store(generations[0]);
-  BatchLocalizer localizer(&store);
   const la::Matrix queries = MakeQueries(map_a, 8, 0.25, 41);
 
   std::atomic<bool> stop{false};
@@ -301,7 +299,8 @@ TEST(SnapshotStoreTest, HotSwapUnderConcurrentReadersIsNeverTornOrEmpty) {
           failed.store(true);
           return;
         }
-        const geom::Point p = localizer.Localize(RowOf(queries, i % 8));
+        const geom::Point p =
+            LocalizeOn(*store.PinnedRead(), RowOf(queries, i % 8));
         if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
           failed.store(true);
           return;
@@ -325,18 +324,17 @@ TEST(SnapshotStoreTest, HotSwapUnderConcurrentReadersIsNeverTornOrEmpty) {
   EXPECT_GE(reads.load(), 2000u);
 }
 
-TEST(BatchLocalizerTest, SingleQueryPrunedPathMatchesEstimator) {
+TEST(LocalizeOnTest, SingleQueryPrunedPathMatchesEstimator) {
   const auto map = MakeServingMap(16, 12, 11);
   Rng rng(17);
   auto snap = BuildSnapshot(
       map, std::make_unique<positioning::KnnEstimator>(4, true), rng);
   MapSnapshotStore store(snap);
-  BatchLocalizer localizer(&store);
   const la::Matrix queries = MakeQueries(map, 25, 0.3, 55);
   for (size_t i = 0; i < queries.rows(); ++i) {
     const std::vector<double> q = RowOf(queries, i);
     const geom::Point direct = snap->estimator->Estimate(q);
-    const geom::Point pruned = localizer.Localize(q);
+    const geom::Point pruned = LocalizeOn(*store.PinnedRead(), q);
     EXPECT_DOUBLE_EQ(pruned.x, direct.x) << "row " << i;
     EXPECT_DOUBLE_EQ(pruned.y, direct.y) << "row " << i;
   }

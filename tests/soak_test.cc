@@ -212,8 +212,12 @@ TEST(SoakChurnTest, DimensionChangeRepublishNeverTearsInFlightQueries) {
 
   std::atomic<bool> stop{false};
   std::atomic<size_t> answered{0}, rejected{0};
+  // Start rendezvous: clients that had not yet run a query when the churn
+  // ended would race nothing (and on a loaded box answer nothing).
+  std::atomic<size_t> clients_started{0};
+  const size_t num_clients = 2;
   std::vector<std::thread> clients;
-  for (int c = 0; c < 2; ++c) {
+  for (size_t c = 0; c < num_clients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(100 + c);
       WalkerOptions wopt;
@@ -238,12 +242,14 @@ TEST(SoakChurnTest, DimensionChangeRepublishNeverTearsInFlightQueries) {
         } catch (const std::runtime_error&) {
           rejected.fetch_add(1, std::memory_order_relaxed);
         }
+        if (i == 1) clients_started.fetch_add(1);  // first query done
       }
     });
   }
 
   // Republish every shard at the widened dimension, then back, while the
-  // clients run.
+  // clients run — starting once every client has completed a query.
+  while (clients_started.load() < num_clients) std::this_thread::yield();
   for (int round = 0; round < 2; ++round) {
     const SoakVenue& target = (round == 0) ? widened : venue;
     for (const serving::VenueShard& shard : target.shards) {
